@@ -6,9 +6,12 @@ For processor ``l`` with extended set ``J_l``, the iteration solves
 
 which, for general index sets, is ``A[J_l, J_l] x_J = b[J_l] - A[J_l, ~J_l]
 z[~J_l]``.  We store the coupling block ``Dep = A[J_l, :]`` with the
-``J_l`` columns zeroed, so the right-hand side update is a single sparse
+``J_l`` columns removed, so the right-hand side update is a single sparse
 mat-vec against the *full* local copy ``z`` (entries under ``J_l`` are
-multiplied by stored zeros and cost nothing: the matrix is pruned).
+not stored, so they cost nothing).  The prune is one pass over the band's
+CSR arrays: a boolean column mask marks ``J_l``, the stored values under
+it are zeroed, and ``eliminate_zeros`` drops them -- O(nnz(band)) work
+and no change of sparse format.
 
 ``ASub`` is factorized **once** (Remark 4); every call to
 :meth:`LocalSystem.solve_with` reuses the factors, and the handle exposes
@@ -35,7 +38,7 @@ from repro.direct.base import DirectSolver, Factorization
 from repro.direct.cache import CacheKey, FactorizationCache
 from repro.linalg.sparse import as_csr
 
-__all__ = ["LocalSystem", "build_local_system", "build_local_systems"]
+__all__ = ["LocalSystem", "build_local_system", "build_local_systems", "prune_band"]
 
 
 @dataclass
@@ -51,7 +54,10 @@ class LocalSystem:
     factorization:
         Direct-kernel handle for ``A[J_l, J_l]``.
     dep:
-        ``A[J_l, :]`` with ``J_l`` columns zeroed and pruned (CSR).
+        ``A[J_l, :]`` without its ``J_l`` columns, as built by
+        :func:`prune_band` (canonical CSR: sorted indices, no duplicates,
+        no stored zeros -- an explicitly stored zero of the band is
+        dropped too).
     b_sub:
         ``b[J_l]`` -- shape ``(|J_l|,)`` or ``(|J_l|, k)`` for batched
         right-hand sides.
@@ -146,6 +152,25 @@ class LocalSystem:
         return 2.0 * (nnz_a + self.dep.nnz)
 
 
+def prune_band(band: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """Return the coupling block: ``band`` without its ``rows`` columns.
+
+    One O(nnz) pass over a copy of the CSR arrays: mask the ``rows``
+    columns, zero their stored values, and eliminate every stored zero.
+    A non-canonical band (unsorted indices, duplicates) is canonicalised
+    first, so the result is canonical CSR whatever the input; ``band``
+    itself is not modified.
+    """
+    dep = band.copy()
+    if not dep.has_canonical_format:
+        dep.sum_duplicates()
+    own = np.zeros(band.shape[1], dtype=bool)
+    own[rows] = True
+    dep.data[own[dep.indices]] = 0.0
+    dep.eliminate_zeros()
+    return dep
+
+
 def build_local_system(
     csr: sp.csr_matrix | None,
     b: np.ndarray | None,
@@ -184,10 +209,7 @@ def build_local_system(
         b_sub = b[rows]
     b_sub = np.asarray(b_sub, dtype=float).copy()
     a_sub = band[:, rows].tocsc()
-    dep = band.tolil(copy=True)
-    dep[:, rows] = 0.0
-    dep = dep.tocsr()
-    dep.eliminate_zeros()
+    dep = prune_band(band, rows)
     if cache is not None:
         key = cache.key_for(solver, a_sub)
         fact = cache.factor(solver, a_sub, key=key)

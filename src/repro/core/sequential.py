@@ -148,14 +148,25 @@ def _resolve_elastic(elastic, ex, nblocks: int, tracer):
     return ElasticController(ex, nblocks, policy=policy, tracer=tracer)
 
 
-def _combine_core(partition: GeneralPartition, pieces: list[np.ndarray]) -> np.ndarray:
+def _core_masks(partition: GeneralPartition) -> list[np.ndarray]:
+    """Per block, which entries of ``J_l`` are owned (in ``C_l``).
+
+    Fixed for a solve, so the drivers build it once, before the round
+    loop, and hand it to every :func:`_combine_core`.
+    """
+    return [np.isin(J, C) for J, C in zip(partition.sets, partition.core)]
+
+
+def _combine_core(
+    partition: GeneralPartition,
+    pieces: list[np.ndarray],
+    core_masks: list[np.ndarray],
+) -> np.ndarray:
     """Assemble the global estimate from the owned (core) components."""
     shape = (partition.n,) if pieces[0].ndim == 1 else (partition.n, pieces[0].shape[1])
     x = np.empty(shape)
     for l, C in enumerate(partition.core):
-        rows = partition.sets[l]
-        sel = np.isin(rows, C)
-        x[C] = pieces[l][sel]
+        x[C] = pieces[l][core_masks[l]]
     return x
 
 
@@ -201,6 +212,7 @@ def _pipelined_rounds(
 
     L = partition.nprocs
     gates = dependency_gates(A, partition, weighting)
+    core_masks = _core_masks(partition)
     batched = b.ndim == 2
     max_r = stopping.max_iterations
     state = stopping.new_state()
@@ -239,7 +251,7 @@ def _pipelined_rounds(
             while monitor in rounds and len(rounds[monitor]) == L:
                 pieces = [rounds[monitor][k] for k in range(L)]
                 iterations = monitor
-                x_est = _combine_core(partition, pieces)
+                x_est = _combine_core(partition, pieces, core_masks)
                 if stopping.metric == "residual":
                     value = residual_norm(A, x_est, b)
                 else:
@@ -424,6 +436,7 @@ def multisplitting_iterate(
             )
         else:
             Z = [z0.copy() for _ in range(L)]
+            core_masks = _core_masks(partition)
             state = stopping.new_state()
             x_prev = z0.copy()
             history = []
@@ -447,7 +460,7 @@ def multisplitting_iterate(
                         wk = w[:, None] if batched else w
                         z_new[partition.sets[k]] += wk * pieces[k]
                     Z[l] = z_new
-                x_est = _combine_core(partition, pieces)
+                x_est = _combine_core(partition, pieces, core_masks)
                 if stopping.metric == "residual":
                     value = residual_norm(A, x_est, b)
                 else:
@@ -564,6 +577,7 @@ def chaotic_iterate(
         raise ValueError(f"x0 must have shape {b.shape}")
     weights = [weighting.update_weights(l) for l in range(L)]
     batched = b.ndim == 2
+    core_masks = _core_masks(partition)
     try:
         ex.attach(
             A, b, partition.sets, solver,
@@ -623,7 +637,7 @@ def chaotic_iterate(
             piece_history.append([p.copy() for p in pieces])
             if len(piece_history) > max_delay + 1:
                 piece_history.pop(0)
-            x_est = _combine_core(partition, pieces)
+            x_est = _combine_core(partition, pieces, core_masks)
             value = max_norm(x_est - x_prev)
             history.append(value)
             x_prev = x_est
