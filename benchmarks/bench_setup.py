@@ -9,7 +9,8 @@ three timed steps, the same calls :func:`repro.core.local.build_local_system`
 makes:
 
 * **slice** -- ``A[J_l, :]`` and ``ASub = A[J_l, J_l]``;
-* **prune** -- :func:`repro.core.local.prune_band`, the coupling block;
+* **prune** -- :func:`repro.core.local.prune_band`, the coupling block
+  compacted onto its halo columns;
 * **factor** -- the ``scipy`` kernel's factorization of ``ASub``.
 
 Reported per rung: the median seconds per block of each step (a median,
@@ -50,7 +51,7 @@ def _rung(csr, L: int) -> dict:
         band = csr[rows, :].tocsr()
         a_sub = band[:, rows].tocsc()
         t1 = time.perf_counter()
-        dep = prune_band(band, rows)
+        dep, _ = prune_band(band, rows)
         t2 = time.perf_counter()
         kernel.factor(a_sub)
         t3 = time.perf_counter()

@@ -2,18 +2,20 @@
 
 Two experiments, one report (``BENCH_wire.json``):
 
-**Part 1 -- zero-copy socket frames.**  A bandwidth-1 diagonally
-dominant system (n = 60000, 24 blocks, local copies batched over 8
-right-hand sides so every solve message carries a multi-megabyte
-payload) is driven through a 4-worker loopback
+**Part 1 -- zero-copy socket frames.**  A diagonally dominant system
+(n = 60000, 24 blocks) whose every row also couples to the same offset
+in every other block, so each block's halo is every column outside it
+(57500 entries); with halo vectors batched over 8 right-hand sides every
+solve message carries a multi-megabyte payload.  It is driven through a
+4-worker loopback
 :class:`~repro.runtime.SocketExecutor` for a fixed number of
 synchronous rounds, once per wire protocol.  ``"pickled"`` replays the
 seed protocol (one in-band pickle per message, copying send and
 chunk-accumulating receive); ``"zerocopy"`` sends pickle-protocol-5
 frames whose ndarray payloads travel as raw out-of-band segments
 (vectored ``sendmsg`` on the way out, ``recv_into`` preallocated pooled
-buffers on the way in).  The solves are near-free (tridiagonal bands),
-so per-round wall minus the busiest worker's share of the
+buffers on the way in).  The solves are near-free (tridiagonal bands
+plus a sparse coupling update), so per-round wall minus the busiest worker's share of the
 inline-measured solve cost *is* the wire overhead -- the quantity the
 zero-copy path must cut >= 2x.  Both protocols must return pieces
 bit-identical to :class:`~repro.runtime.InlineExecutor`.
@@ -38,20 +40,22 @@ import os
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from bench_output import emit
 from conftest import run_once
 
 from repro.core import make_weighting, multisplitting_iterate, uniform_bands
+from repro.core.partition import halo_columns
 from repro.core.stopping import StoppingCriterion
 from repro.direct import get_solver
 from repro.direct.base import DirectSolver, Factorization
 from repro.matrices import diagonally_dominant, rhs_for_solution
 from repro.runtime import InlineExecutor, SocketExecutor, ThreadExecutor
 
-#: Part 1: wire-bound problem -- big local copies (an ``(n, k)`` batched
-#: right-hand-side block drives ``n * k`` doubles per message), near-free
-#: tridiagonal solves.
+#: Part 1: wire-bound problem -- big halo vectors (every block couples to
+#: every column outside it, and an ``(|H_l|, k)`` batched right-hand-side
+#: block drives ``|H_l| * k`` doubles per message), near-free solves.
 WIRE_N = 60_000
 WIRE_RHS = 8
 WIRE_BLOCKS = 24
@@ -79,16 +83,38 @@ def _cpus() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _all_to_all_coupled(n: int, blocks: int):
+    """Tridiagonal, plus a coupling from row ``i`` to ``i + j n/blocks``
+    (mod ``n``) for every other block ``j``: under ``blocks`` uniform
+    bands each block's halo is every column outside it.  Strictly
+    diagonally dominant (off-diagonal row sums ``<= 2 + 0.05 (blocks-1)``
+    against a diagonal of 4 for up to 24 blocks)."""
+    stride = n // blocks
+    i = np.arange(n)
+    rows = [i, i[1:], i[:-1]] + [i] * (blocks - 1)
+    cols = [i, i[1:] - 1, i[:-1] + 1] + [
+        (i + j * stride) % n for j in range(1, blocks)
+    ]
+    vals = [np.full(n, 4.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0)] + [
+        np.full(n, -0.05)
+    ] * (blocks - 1)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+
+
 def wire_overhead_experiment():
     """Per-round non-solve overhead of each wire protocol, plus the
     inline reference pieces for the bit-identity check."""
-    A = diagonally_dominant(WIRE_N, dominance=1.5, bandwidth=1, seed=3)
+    A = _all_to_all_coupled(WIRE_N, WIRE_BLOCKS)
     b, _ = rhs_for_solution(A, seed=4)
     part = uniform_bands(WIRE_N, WIRE_BLOCKS).to_general()
-    # One (n, k) batched local copy per block: every solve message ships
-    # n * k doubles, so the wire dominates while attach stays cheap.
+    # One (|H_l|, k) batched halo vector per block: every solve message
+    # ships |H_l| * k doubles, so the wire dominates while attach stays
+    # cheap.
     B = np.random.default_rng(5).standard_normal((WIRE_N, WIRE_RHS))
-    Z = [B for _ in range(WIRE_BLOCKS)]
+    Z = [B[halo] for halo in halo_columns(A, part.sets)]
 
     ref_ex = InlineExecutor()
     ref_ex.attach(A, b, part.sets, get_solver("scipy"))
@@ -224,8 +250,9 @@ def test_wire_and_dispatch(benchmark):
     cpus = _cpus()
     print()
     print(f"host cores: {cpus}")
-    print(f"-- wire: n={WIRE_N} x {WIRE_RHS} rhs, {WIRE_BLOCKS} blocks over "
-          f"{WIRE_WORKERS} socket workers, {WIRE_ROUNDS} timed rounds --")
+    print(f"-- wire: n={WIRE_N} (all-to-all block coupling) x {WIRE_RHS} rhs, "
+          f"{WIRE_BLOCKS} blocks over {WIRE_WORKERS} socket workers, "
+          f"{WIRE_ROUNDS} timed rounds --")
     for protocol in ("pickled", "zerocopy"):
         row = wire[protocol]
         stats = row["wire"]

@@ -6,8 +6,9 @@ socket runtime receives each round's piece *in place* into a per-block
 rotation of ``depth`` pooled buffers (``repro.runtime.wire.BufferPool``):
 round ``r + depth``'s receive reuses round ``r``'s memory.  The protocol
 is sound only while every piece that can still be *read* -- folded by
-the monitor, combined into a gated dispatch, or standing in as a
-non-gated ``latest`` -- is backed by a buffer not yet recycled.
+the monitor or gathered into a gated dispatch's halo vector -- is backed
+by a buffer not yet recycled.  (A dispatch reads its gates' pieces only:
+the halo gather has no term for any other block.)
 
 The model: one io coroutine per block receiving pieces into the slot
 rotation (two-phase, so a read during ``recv_into`` sees a torn buffer),
@@ -55,7 +56,6 @@ class PipelineModel(Model):
         self.slots = {l: [None] * depth for l in range(blocks)}
         self.arrived: set[tuple[int, int]] = set()
         self.submitted = [0] * blocks  # last dispatched round per block
-        self.latest = [0] * blocks  # newest arrived round (0 = initial z0)
         self.monitor = 1  # next round to fold (the real driver's counter)
         self.finished = False
         self.torn: list[str] = []
@@ -91,7 +91,6 @@ class PipelineModel(Model):
             yield from schedule()
             self.slots[l][slot] = ("piece", r)  # frame complete
             self.arrived.add((l, r))
-            self.latest[l] = r
 
     def _foldable(self) -> bool:
         return self.monitor <= self.rounds and all(
@@ -128,18 +127,11 @@ class PipelineModel(Model):
                 if not self._dispatchable(m):
                     continue
                 r_next = self.submitted[m] + 1
-                # Combine for the dispatch: the gated own piece plus
-                # every other block's latest as the stand-in.  Capture
-                # the reference first (the real code's ``src = ...``),
-                # then read the memory across a trap.
-                refs = [(m, r_next - 1, "gate")] + [
-                    (k, self.latest[k], "latest")
-                    for k in range(self.nblocks)
-                    if k != m
-                ]
-                for k, r, what in refs:
-                    yield from schedule()
-                    self._read(k, r, what)
+                # Halo gather for the dispatch: it reads gated pieces
+                # only.  Each block's one gate here is itself, which
+                # stands in for a dependency's piece; read across a trap.
+                yield from schedule()
+                self._read(m, r_next - 1, "gate")
                 self.submitted[m] = r_next
                 yield from schedule()
         self.finished = True

@@ -190,7 +190,7 @@ def run_asynchronous(
                     idle_polls = 0
                     yield ctx.compute(system.iteration_flops * k_width)
                     t0 = time.perf_counter()
-                    new_piece = system.solve_with(z)
+                    new_piece = system.solve_with(z[system.halo])
                     block_wall[l] += time.perf_counter() - t0
                     if core_mask.any():
                         diff = np.abs(new_piece[core_mask] - piece[core_mask])

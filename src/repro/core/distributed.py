@@ -31,6 +31,7 @@ __all__ = [
     "DistributedRunResult",
     "ProcOutcome",
     "CommPattern",
+    "HaloGather",
     "communication_pattern",
     "placement_for",
     "charge_initialisation",
@@ -197,11 +198,12 @@ def assemble_solution(
 class CommPattern:
     """Weighting-aware communication structure of one decomposition.
 
-    For each rank ``l``, ``recv_terms[l][k] = (piece_idx, col_idx, w)``
-    describes how a piece arriving from ``k`` contributes to the components
-    ``l`` actually *reads* (the non-zero columns of its coupling block):
-    ``z[col_idx] += w * piece[piece_idx]``.  ``deps``/``dependents`` are
-    derived from these terms, so a weighting that spreads a component over
+    For each rank ``l``, ``needed_cols[l]`` is its halo ``H_l`` (the
+    columns of its coupling block) and ``recv_terms[l][k] = (piece_idx,
+    col_idx, w)`` describes how a piece arriving from ``k`` contributes to
+    the components ``l`` actually *reads*: ``z[col_idx] += w *
+    piece[piece_idx]``, with ``col_idx`` a subset of ``H_l``.
+    ``deps``/``dependents`` are derived from these terms, so a weighting that spreads a component over
     two overlap owners (O'Leary-White averaging) correctly makes *both*
     owners senders, while ownership-style weightings keep the minimal
     pattern of Algorithm 1.
@@ -219,10 +221,10 @@ def communication_pattern(
     """Derive who-sends-to-whom and the per-message update terms.
 
     The dependency structure may come from the built per-rank systems
-    (``systems``, the drivers' path -- the coupling blocks already
-    exist) or directly from the matrix pattern (``A``, the scheduler's
-    path -- nothing is sliced or factored; see
-    :meth:`~repro.core.partition.GeneralPartition.boundary_columns`).
+    (``systems``, the simulator's path -- each built system carries its
+    ``halo``) or directly from the matrix pattern (``A``, the path of the
+    scheduler and the runtime drivers -- nothing is sliced or factored;
+    see :meth:`~repro.core.partition.GeneralPartition.boundary_columns`).
     Both derivations yield the same graph, which is what makes the
     pattern-aware message cost model in :mod:`repro.schedule.pattern`
     price exactly the exchanges the drivers later perform.
@@ -231,7 +233,7 @@ def communication_pattern(
         raise ValueError("pass exactly one of systems= or A=")
     L = partition.nprocs
     all_needed = (
-        [np.unique(systems[l].dep.indices) for l in range(L)]
+        [systems[l].halo for l in range(L)]
         if systems is not None
         else partition.boundary_columns(A)
     )
@@ -266,3 +268,44 @@ def communication_pattern(
         dependents=[sorted(v) for v in dependents],
         recv_terms=recv_terms,
     )
+
+
+class HaloGather:
+    """Per-block halos and the gather maps that fill them from pieces.
+
+    Derived once per solve from :func:`communication_pattern` over the
+    matrix pattern (the driver holds ``A``; nothing is asked of the
+    executor): ``halos[l]`` is ``H_l``, and for every producer ``k != l``
+    (ascending) a term ``(k, piece_idx, pos, w)`` adds ``w *
+    piece_k[piece_idx]`` into ``z^l[pos]``.  These are exactly the
+    non-zero-weight terms of the full-length combine ``z^l = sum_k
+    E_lk x^k`` at the columns ``l`` reads, in the same order, so each
+    halo entry is bit-identical to that entry of the full-length copy
+    (the dropped terms add only ``+-0.0`` to an accumulator that starts
+    at ``+0.0``).
+    """
+
+    def __init__(self, A, partition, weighting, b: np.ndarray):
+        self.pattern = communication_pattern(partition, weighting, A=A)
+        self.halos = self.pattern.needed_cols
+        self._tail = tuple(b.shape[1:])
+        batched = b.ndim == 2
+        self._terms: list[list[tuple]] = []
+        for l, halo in enumerate(self.halos):
+            terms = []
+            for k in sorted(self.pattern.recv_terms[l]):
+                piece_idx, col_idx, w = self.pattern.recv_terms[l][k]
+                pos = np.searchsorted(halo, col_idx)
+                terms.append((k, piece_idx, pos, w[:, None] if batched else w))
+            self._terms.append(terms)
+
+    def initial(self, z0: np.ndarray) -> list[np.ndarray]:
+        """Every block's halo of the start vector ``z0``."""
+        return [z0[halo] for halo in self.halos]
+
+    def assemble(self, l: int, pieces) -> np.ndarray:
+        """Block ``l``'s halo vector from ``pieces[k]`` (indexable by rank)."""
+        z = np.zeros((self.halos[l].size,) + self._tail)
+        for k, piece_idx, pos, w in self._terms[l]:
+            z[pos] += w * pieces[k][piece_idx]
+        return z

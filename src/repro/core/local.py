@@ -5,13 +5,19 @@ For processor ``l`` with extended set ``J_l``, the iteration solves
     ``ASub * XSub = BSub - DepLeft * XLeft - DepRight * XRight``
 
 which, for general index sets, is ``A[J_l, J_l] x_J = b[J_l] - A[J_l, ~J_l]
-z[~J_l]``.  We store the coupling block ``Dep = A[J_l, :]`` with the
-``J_l`` columns removed, so the right-hand side update is a single sparse
-mat-vec against the *full* local copy ``z`` (entries under ``J_l`` are
-not stored, so they cost nothing).  The prune is one pass over the band's
-CSR arrays: a boolean column mask marks ``J_l``, the stored values under
-it are zeroed, and ``eliminate_zeros`` drops them -- O(nnz(band)) work
-and no change of sparse format.
+z[~J_l]``.  Only the columns ``A[J_l, :]`` actually couples to outside
+``J_l`` matter -- the block's *halo* ``H_l`` (``DepLeft``/``DepRight``'s
+columns in the band case).  We store the coupling block ``Dep`` as
+``A[J_l, H_l]``, so the right-hand side update is a single sparse mat-vec
+against the block's **halo vector** ``z^l[H_l]`` (shape ``(|H_l|,)`` or
+``(|H_l|, k)``): the local copy a block receives, and the only one.  The
+prune is one pass over the band's CSR arrays: a boolean column mask marks
+``J_l``, the stored values under it are zeroed, ``eliminate_zeros`` drops
+them, and the surviving column indices are remapped onto their rank in
+``H_l`` -- O(nnz(band)) work and no change of sparse format.  The remap
+is monotone, so every row keeps its entries in the same order and
+``Dep @ z_halo`` sums the same products in the same order as a mat-vec
+against the full-length copy would.
 
 ``ASub`` is factorized **once** (Remark 4); every call to
 :meth:`LocalSystem.solve_with` reuses the factors, and the handle exposes
@@ -54,10 +60,15 @@ class LocalSystem:
     factorization:
         Direct-kernel handle for ``A[J_l, J_l]``.
     dep:
-        ``A[J_l, :]`` without its ``J_l`` columns, as built by
-        :func:`prune_band` (canonical CSR: sorted indices, no duplicates,
-        no stored zeros -- an explicitly stored zero of the band is
-        dropped too).
+        The coupling block ``A[J_l, H_l]``, shape ``(|J_l|, |H_l|)``, as
+        built by :func:`prune_band` (canonical CSR: sorted indices, no
+        duplicates, no stored zeros -- an explicitly stored zero of the
+        band is dropped too).  Its column ``j`` is global column
+        ``halo[j]``.
+    halo:
+        ``H_l``: the sorted global columns outside ``J_l`` that ``dep``
+        stores.  Every ``z`` argument below is the halo vector
+        ``z^l[H_l]``.
     b_sub:
         ``b[J_l]`` -- shape ``(|J_l|,)`` or ``(|J_l|, k)`` for batched
         right-hand sides.
@@ -76,6 +87,7 @@ class LocalSystem:
     rows: np.ndarray
     factorization: Factorization
     dep: sp.csr_matrix
+    halo: np.ndarray
     b_sub: np.ndarray
     rhs_flops: float
     factor_flops: float
@@ -104,23 +116,24 @@ class LocalSystem:
                 self.factorization = fact
         return self.factorization
 
-    def local_rhs(self, z_full: np.ndarray) -> np.ndarray:
-        """Return ``BLoc = BSub - Dep @ z`` for the current local copy.
+    def local_rhs(self, z_halo: np.ndarray) -> np.ndarray:
+        """Return ``BLoc = BSub - Dep @ z`` for the current halo vector.
 
-        ``z_full`` may be a vector ``(n,)`` or a batch ``(n, k)``; the
-        coupling product handles all columns at once.
+        ``z_halo`` is ``z^l[H_l]``: a vector ``(|H_l|,)`` or a batch
+        ``(|H_l|, k)``; the coupling product handles all columns at once.
         """
-        if z_full.ndim == 2 and self.b_sub.ndim == 1:
-            return self.b_sub[:, None] - self.dep @ z_full
-        return self.b_sub - self.dep @ z_full
+        if z_halo.ndim == 2 and self.b_sub.ndim == 1:
+            return self.b_sub[:, None] - self.dep @ z_halo
+        return self.b_sub - self.dep @ z_halo
 
-    def solve_with(self, z_full: np.ndarray) -> np.ndarray:
+    def solve_with(self, z_halo: np.ndarray) -> np.ndarray:
         """One inner direct solve: returns ``XSub`` over ``J_l``.
 
-        A 2-D local copy triggers the batched multi-RHS path: all columns
-        are forwarded to :meth:`Factorization.solve_many` in one call.
+        A 2-D halo vector triggers the batched multi-RHS path: all
+        columns are forwarded to :meth:`Factorization.solve_many` in one
+        call.
         """
-        rhs = self.local_rhs(z_full)
+        rhs = self.local_rhs(z_halo)
         fact = self._factors()
         if rhs.ndim == 2:
             return fact.solve_many(rhs)
@@ -131,19 +144,20 @@ class LocalSystem:
         """Flops of one outer iteration (rhs update + triangular solves)."""
         return self.rhs_flops + self.solve_flops
 
-    def local_residual(self, piece: np.ndarray, z_full: np.ndarray) -> np.ndarray:
+    def local_residual(self, piece: np.ndarray, z_halo: np.ndarray) -> np.ndarray:
         """True residual on the ``J_l`` rows of the *current global* iterate.
 
-        ``r = BSub - ASub @ piece - Dep @ z`` -- zero right after the solve
-        by construction (direct solves are exact), non-zero once fresher
-        neighbour values have been folded into ``z``.  This is the
-        residual-metric monitor of the distributed solvers.
+        ``r = BSub - ASub @ piece - Dep @ z`` with ``z = z^l[H_l]`` --
+        zero right after the solve by construction (direct solves are
+        exact), non-zero once fresher neighbour values have been folded
+        into ``z``.  This is the residual-metric monitor of the
+        distributed solvers.
         """
         if self.a_sub is None:
             raise ValueError("LocalSystem built without a_sub retention")
-        if z_full.ndim == 2 and self.b_sub.ndim == 1:
-            return self.b_sub[:, None] - self.a_sub @ piece - self.dep @ z_full
-        return self.b_sub - self.a_sub @ piece - self.dep @ z_full
+        if z_halo.ndim == 2 and self.b_sub.ndim == 1:
+            return self.b_sub[:, None] - self.a_sub @ piece - self.dep @ z_halo
+        return self.b_sub - self.a_sub @ piece - self.dep @ z_halo
 
     @property
     def residual_flops(self) -> float:
@@ -152,14 +166,21 @@ class LocalSystem:
         return 2.0 * (nnz_a + self.dep.nnz)
 
 
-def prune_band(band: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """Return the coupling block: ``band`` without its ``rows`` columns.
+def prune_band(
+    band: sp.csr_matrix, rows: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Return ``(dep, halo)``: the coupling block and its halo columns.
 
-    One O(nnz) pass over a copy of the CSR arrays: mask the ``rows``
-    columns, zero their stored values, and eliminate every stored zero.
-    A non-canonical band (unsorted indices, duplicates) is canonicalised
-    first, so the result is canonical CSR whatever the input; ``band``
-    itself is not modified.
+    ``halo`` is ``H_l``, the sorted columns outside ``rows`` that
+    ``band`` stores a non-zero in; ``dep`` is ``band[:, halo]``, shape
+    ``(|rows|, |halo|)``.  One O(nnz) pass over a copy of the CSR
+    arrays: mask the ``rows`` columns, zero their stored values,
+    eliminate every stored zero, then remap each surviving column onto
+    its position in ``halo``.  The remap is monotone, so ``indptr``,
+    ``data`` and the entry order of every row are those of the
+    uncompacted block.  A non-canonical band (unsorted indices,
+    duplicates) is canonicalised first, so the result is canonical CSR
+    whatever the input; ``band`` itself is not modified.
     """
     dep = band.copy()
     if not dep.has_canonical_format:
@@ -168,7 +189,14 @@ def prune_band(band: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     own[rows] = True
     dep.data[own[dep.indices]] = 0.0
     dep.eliminate_zeros()
-    return dep
+    halo = np.unique(dep.indices).astype(np.int64)
+    indices = np.searchsorted(halo, dep.indices).astype(dep.indices.dtype)
+    dep = sp.csr_matrix(
+        (dep.data, indices, dep.indptr), shape=(band.shape[0], halo.size)
+    )
+    # The remap keeps every row sorted and duplicate-free.
+    dep.has_canonical_format = True
+    return dep, halo
 
 
 def build_local_system(
@@ -209,7 +237,7 @@ def build_local_system(
         b_sub = b[rows]
     b_sub = np.asarray(b_sub, dtype=float).copy()
     a_sub = band[:, rows].tocsc()
-    dep = prune_band(band, rows)
+    dep, halo = prune_band(band, rows)
     if cache is not None:
         key = cache.key_for(solver, a_sub)
         fact = cache.factor(solver, a_sub, key=key)
@@ -221,6 +249,7 @@ def build_local_system(
         rows=rows,
         factorization=fact,
         dep=dep,
+        halo=halo,
         b_sub=b_sub,
         rhs_flops=2.0 * dep.nnz,
         factor_flops=fact.stats.factor_flops,

@@ -33,7 +33,47 @@ __all__ = [
     "cost_balanced_bands",
     "interleaved_partition",
     "permuted_bands",
+    "halo_columns",
 ]
+
+
+def halo_columns(A, sets) -> list[np.ndarray]:
+    """Per index set ``J_l``, the sorted columns its rows couple to outside it.
+
+    ``H_l`` is the set of columns with a non-zero in ``A[J_l, :]`` that
+    do not lie in ``J_l`` -- the columns of the pruned coupling block
+    :func:`repro.core.local.prune_band` stores, and so the entries of
+    the halo vector ``z^l[H_l]`` each block is sent per round.  Like the
+    prune, it sums duplicate entries first (a non-canonical ``A`` is
+    canonicalised on a copy) and ignores stored zeros.
+
+    One vectorised pass per block over ``A``'s CSR arrays: the block's
+    rows are gathered through ``indptr`` (no sliced matrix is built),
+    then stored zeros and ``J_l`` columns are dropped.
+    """
+    csr = as_csr(A)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    # mark[c] == l  <=>  column c lies in J_l (set just before block l
+    # is scanned, so overlapping sets share one array).
+    mark = np.full(csr.shape[1], -1, dtype=np.int64)
+    out: list[np.ndarray] = []
+    for l, J in enumerate(sets):
+        J = np.asarray(J, dtype=np.int64)
+        mark[J] = l
+        starts = indptr[J]
+        lengths = indptr[J + 1] - starts
+        total = int(lengths.sum())
+        # Positions of every stored entry of the J rows: one arange,
+        # shifted per row from its running offset to its indptr start.
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        pos = np.arange(total, dtype=np.int64) + shift
+        cols = indices[pos]
+        cols = cols[(data[pos] != 0) & (mark[cols] != l)]
+        out.append(np.unique(cols).astype(np.int64))
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,26 +143,17 @@ class GeneralPartition:
         return self
 
     def boundary_columns(self, A) -> list[np.ndarray]:
-        """Per-processor sorted columns read *outside* ``J_l``.
+        """Per-processor halo ``H_l``: the sorted columns read outside ``J_l``.
 
-        Exactly the non-zero columns of the pruned coupling block each
-        :class:`~repro.core.local.LocalSystem` stores (``A[J_l, :]``
-        with the ``J_l`` columns zeroed and ``eliminate_zeros`` applied)
-        -- explicitly stored zeros are ignored here too, so the
-        pattern-level derivation and the built systems always describe
-        the same dependency graph.  This is the one source of truth
-        shared by :meth:`dependencies` and the scheduler's a-priori path
-        of :func:`repro.core.distributed.communication_pattern`.
+        Exactly :attr:`~repro.core.local.LocalSystem.halo` of the built
+        systems (see :func:`halo_columns`), so the pattern-level
+        derivation and the built systems always describe the same
+        dependency graph.  This is the one source of truth shared by
+        :meth:`dependencies`, the scheduler's a-priori path of
+        :func:`repro.core.distributed.communication_pattern`, and the
+        drivers' halo gather maps.
         """
-        csr = as_csr(A)
-        out: list[np.ndarray] = []
-        for J in self.sets:
-            inside = np.zeros(self.n, dtype=bool)
-            inside[J] = True
-            sub = csr[J, :]
-            cols = np.unique(sub.indices[sub.data != 0])
-            out.append(cols[~inside[cols]].astype(np.int64))
-        return out
+        return halo_columns(A, self.sets)
 
     def dependencies(self, A) -> list[list[int]]:
         """Return ``deps[l]`` = processors whose core values ``l`` reads.

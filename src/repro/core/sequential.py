@@ -26,6 +26,12 @@ either way: a block solve is a pure function of ``(block, z)`` and the
 executor contract returns results in request order, so the synchronous
 driver is bit-identical across backends and the chaotic driver keeps its
 seeded schedule.
+
+The local copy a block is sent is its **halo vector** ``z^l[H_l]``: only
+the columns outside ``J_l`` its coupling block reads (see
+:mod:`repro.core.local`).  The drivers assemble it each round from gather
+maps derived once per solve from the communication pattern
+(:class:`HaloGather`), never materialising a full-length copy.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.distributed import HaloGather
 from repro.core.partition import GeneralPartition
 from repro.core.stopping import StoppingCriterion
 from repro.core.weighting import WeightingScheme
@@ -179,7 +186,7 @@ _PIPELINE_WINDOW = 3
 
 
 def _pipelined_rounds(
-    A, b, partition, weighting, weights, stopping, ex, tracer, z0, callback
+    A, b, partition, gather, stopping, ex, tracer, z0, callback
 ):
     """Dependency-gated synchronous rounds (no global barrier).
 
@@ -187,17 +194,11 @@ def _pipelined_rounds(
     ``k`` pieces of its gate set (its dependencies per the communication
     pattern, plus itself) have arrived -- a straggling non-dependency
     cannot stall it.  Iterates are bit-identical to the barrier driver:
-    every gated term of the local-copy combine uses exactly the round-
-    ``k`` piece the barrier would, and a non-gated term's weight is zero
-    at every column the solve reads, so the stale piece standing in for
-    it is multiplied away before it can reach the kernel.
+    the halo gather reads only the gated pieces, each of them exactly
+    the round-``k`` piece the barrier would use.
 
     Returns ``(x, iterations, converged, history, gate_wait_seconds)``.
     """
-    # Lazy: repro.schedule builds on repro.core, so a module-level
-    # import here would be circular (same idiom as _resolve_executor).
-    from repro.schedule.pattern import dependency_gates
-
     # Construction-time guard on the window/pool-depth invariant: the
     # two constants live in different layers and are only compatible by
     # agreement, so a future depth change must fail loudly here instead
@@ -211,9 +212,10 @@ def _pipelined_rounds(
         raise RuntimeError(f"pipelined dispatch misconfigured: {window_msg}")
 
     L = partition.nprocs
-    gates = dependency_gates(A, partition, weighting)
+    # The gates of repro.schedule.pattern.dependency_gates, from the
+    # pattern the halo maps were built from.
+    gates = [sorted(set(deps) | {l}) for l, deps in enumerate(gather.pattern.deps)]
     core_masks = _core_masks(partition)
-    batched = b.ndim == 2
     max_r = stopping.max_iterations
     state = stopping.new_state()
     x_prev = z0.copy()
@@ -224,7 +226,6 @@ def _pipelined_rounds(
     #: rounds[r][l] = block l's round-r piece (pruned once no open gate
     #: or monitor can still read it).
     rounds: dict[int, dict[int, np.ndarray]] = {}
-    latest = [z0[partition.sets[k]] for k in range(L)]
     submitted = [0] * L
     t_done = [time.perf_counter()] * L
     monitor = 1  # next round to fold into the convergence history
@@ -234,15 +235,14 @@ def _pipelined_rounds(
         if max_r >= 1:
             # Round 1 solves on the caller's start vector directly, like
             # the barrier's initial Z.
-            for l in range(L):
-                stream.submit(l, z0)
+            for l, z in enumerate(gather.initial(z0)):
+                stream.submit(l, z)
                 submitted[l] = 1
                 inflight += 1
         while inflight:
             l, piece = stream.next_done()
             inflight -= 1
             rounds.setdefault(submitted[l], {})[l] = piece
-            latest[l] = piece
             t_done[l] = time.perf_counter()
             # Fold completed rounds into the history strictly in order:
             # the monitor sequence (metric values, callback, stopping
@@ -289,16 +289,7 @@ def _pipelined_rounds(
                 prev = rounds.get(r_next - 1, {})
                 if any(k not in prev for k in gates[m]):
                     continue
-                z = np.zeros(b.shape)
-                for k, w in weights[m].items():
-                    wk = w[:, None] if batched else w
-                    src = prev.get(k)
-                    if src is None:
-                        # Not a gate: w vanishes at every column block
-                        # m's solve reads, so any round's piece works
-                        # (the value is multiplied away).
-                        src = latest[k]
-                    z[partition.sets[k]] += wk * src
+                z = gather.assemble(m, prev)
                 now = time.perf_counter()
                 wait = now - t_done[m]
                 gate_wait += wait
@@ -426,23 +417,21 @@ def multisplitting_iterate(
             A, b, partition.sets, solver,
             cache=cache, placement=placement, fault_policy=fault_policy,
         )
-        weights = [weighting.update_weights(l) for l in range(L)]
+        gather = HaloGather(A, partition, weighting, b)
         controller = _resolve_elastic(elastic, ex, L, tracer)
         gate_wait = 0.0
         if dispatch == "pipelined":
             x_prev, iterations, converged, history, gate_wait = _pipelined_rounds(
-                A, b, partition, weighting, weights, stopping, ex, tracer,
-                z0, callback,
+                A, b, partition, gather, stopping, ex, tracer, z0, callback,
             )
         else:
-            Z = [z0.copy() for _ in range(L)]
+            Z = gather.initial(z0)
             core_masks = _core_masks(partition)
             state = stopping.new_state()
             x_prev = z0.copy()
             history = []
             converged = False
             iterations = 0
-            batched = b.ndim == 2
             for it in range(1, stopping.max_iterations + 1):
                 iterations = it
                 if tracer is None:
@@ -454,12 +443,7 @@ def multisplitting_iterate(
                         "round", "round", t_round, tracer.now() - t_round,
                         lane="driver", round=it,
                     )
-                for l in range(L):
-                    z_new = np.zeros(b.shape)
-                    for k, w in weights[l].items():
-                        wk = w[:, None] if batched else w
-                        z_new[partition.sets[k]] += wk * pieces[k]
-                    Z[l] = z_new
+                Z = [gather.assemble(l, pieces) for l in range(L)]
                 x_est = _combine_core(partition, pieces, core_masks)
                 if stopping.metric == "residual":
                     value = residual_norm(A, x_est, b)
@@ -566,7 +550,7 @@ def chaotic_iterate(
         raise ValueError("max_delay must be non-negative")
     stopping = stopping or StoppingCriterion(consecutive=3)
     rng = np.random.default_rng(seed)
-    n, L = partition.n, partition.nprocs
+    L = partition.nprocs
     b = np.asarray(b, dtype=float)
     ex, owns_executor = _resolve_executor(executor)
     tracer = resolve_trace(trace)
@@ -576,13 +560,13 @@ def chaotic_iterate(
     if z0.shape != b.shape:
         raise ValueError(f"x0 must have shape {b.shape}")
     weights = [weighting.update_weights(l) for l in range(L)]
-    batched = b.ndim == 2
     core_masks = _core_masks(partition)
     try:
         ex.attach(
             A, b, partition.sets, solver,
             cache=cache, placement=placement, fault_policy=fault_policy,
         )
+        gather = HaloGather(A, partition, weighting, b)
         # ring buffer of historical pieces for stale reads
         pieces = [z0[partition.sets[l]].copy() for l in range(L)]
         piece_history: list[list[np.ndarray]] = [[p.copy() for p in pieces]]
@@ -613,15 +597,15 @@ def chaotic_iterate(
                     continue
                 since_update[l] = 0
                 updated_now.append(l)
-                # build z^l from (possibly stale) neighbour pieces
-                z = np.zeros(b.shape)
-                for k, w in weights[l].items():
+                # build z^l from (possibly stale) neighbour pieces: one
+                # lag drawn per contributing source, in source order, so
+                # a seed always yields the same schedule
+                stale: dict[int, np.ndarray] = {}
+                for k in weights[l]:
                     lag = int(rng.integers(0, max_delay + 1)) if k != l else 0
                     lag = min(lag, len(piece_history) - 1)
-                    stale = piece_history[-1 - lag][k]
-                    wk = w[:, None] if batched else w
-                    z[partition.sets[k]] += wk * stale
-                tasks.append((l, z))
+                    stale[k] = piece_history[-1 - lag][k]
+                tasks.append((l, gather.assemble(l, stale)))
             if tracer is None:
                 solved = ex.solve_blocks(tasks)
             else:

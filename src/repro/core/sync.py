@@ -156,7 +156,7 @@ def run_synchronous(
                 it += 1
                 yield ctx.compute(system.iteration_flops * k_width)
                 t0 = time.perf_counter()
-                new_piece = system.solve_with(z)
+                new_piece = system.solve_with(z[system.halo])
                 block_wall[l] += time.perf_counter() - t0
                 diff_flag = state.observe_diff(
                     new_piece[core_mask], piece[core_mask]
@@ -181,7 +181,7 @@ def run_synchronous(
                     # (the coupling block never reads z on J_l, so piece and
                     # z together describe the current global iterate here)
                     yield ctx.compute(system.residual_flops * k_width)
-                    r = system.local_residual(piece, z)
+                    r = system.local_residual(piece, z[system.halo])
                     local_flag = state.observe(float(np.max(np.abs(r))) if r.size else 0.0)
                 else:
                     local_flag = diff_flag

@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 
+def _read_only(vectors) -> tuple[np.ndarray, ...]:
+    """Freeze per-producer weight vectors that every consumer shares."""
+    out = []
+    for w in vectors:
+        w.setflags(write=False)
+        out.append(w)
+    return tuple(out)
+
+
 class WeightingScheme(abc.ABC):
     """Family of weighting matrices ``E_lk`` over a partition."""
 
@@ -88,11 +97,16 @@ class OwnershipWeighting(WeightingScheme):
     O'Leary-White family (``E_lk = E_k`` with ``E_k`` the core indicator).
     """
 
+    def __init__(self, partition: GeneralPartition):
+        super().__init__(partition)
+        owner = partition.owner_of()
+        self._e = _read_only(
+            (owner[J] == k).astype(float) for k, J in enumerate(partition.sets)
+        )
+
     def weight_vector(self, l: int, k: int) -> np.ndarray:
-        J = self.partition.sets[k]
-        w = np.zeros(J.size)
-        w[np.isin(J, self.partition.core[k])] = 1.0
-        return w
+        # E_lk = E_k: one shared read-only vector per producer k.
+        return self._e[k]
 
 
 class BlockJacobiWeighting(OwnershipWeighting):
@@ -122,11 +136,12 @@ class AveragingWeighting(WeightingScheme):
 
     def __init__(self, partition: GeneralPartition):
         super().__init__(partition)
-        self._mult = partition.multiplicity().astype(float)
+        mult = partition.multiplicity().astype(float)
+        self._e = _read_only(1.0 / mult[J] for J in partition.sets)
 
     def weight_vector(self, l: int, k: int) -> np.ndarray:
-        J = self.partition.sets[k]
-        return 1.0 / self._mult[J]
+        # E_lk = E_k: one shared read-only vector per producer k.
+        return self._e[k]
 
 
 class SchwarzWeighting(WeightingScheme):

@@ -5,7 +5,8 @@ iteration every processor solves its own factored band system against its
 own local copy of the iterate, and the only coupling is the exchange of
 sub-solution pieces.  The drivers in :mod:`repro.core` therefore never
 need to know *where* those solves execute -- they describe the work
-(block ``l``, local copy ``z``) and an :class:`Executor` runs it:
+(block ``l``, halo vector ``z``: the entries of its local copy that its
+coupling block reads) and an :class:`Executor` runs it:
 
 * :class:`repro.runtime.InlineExecutor` -- current thread, serial.  The
   bit-identical baseline every other backend is measured against.
@@ -38,9 +39,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.local import LocalSystem, build_local_systems
+from repro.core.partition import halo_columns
 from repro.direct.cache import CacheStats, FactorizationCache
 
-__all__ = ["Executor", "InProcessExecutor", "SolveStream", "owned_rows_spec"]
+__all__ = [
+    "Executor",
+    "InProcessExecutor",
+    "SolveStream",
+    "halo_shapes",
+    "owned_rows_spec",
+]
 
 
 class SolveStream:
@@ -91,6 +99,19 @@ class SolveStream:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def halo_shapes(csr, b: np.ndarray, sets) -> list[tuple[int, ...]]:
+    """Per block, the shape of the halo vector ``z^l[H_l]`` it is sent.
+
+    ``(|H_l|,)`` or ``(|H_l|, k)`` after the batch width of ``b``.  The
+    distributed backends size their per-block ``z`` plane slots (process)
+    and check the halo length of their solve frames (sockets) with it at
+    attach, from the matrix they slice the owned rows from -- the same
+    halos the workers' built systems then carry.
+    """
+    tail = tuple(np.shape(b)[1:])
+    return [(int(h.size),) + tail for h in halo_columns(csr, sets)]
 
 
 def owned_rows_spec(csr, b, sets, solvers, owned, use_cache: bool) -> dict:
@@ -216,9 +237,13 @@ class Executor(abc.ABC):
     ) -> list[np.ndarray]:
         """Solve ``XSub_l`` for every ``(l, z_l)`` request.
 
-        ``z_l`` is block ``l``'s full-length local copy (shape ``(n,)`` or
-        ``(n, k)`` for batched right-hand sides, matching the ``b`` the
-        binding was attached with).  Returns the solution pieces over each
+        ``z_l`` is block ``l``'s halo vector ``z^l[H_l]``: the entries of
+        its local copy at the columns its coupling block reads
+        (:attr:`~repro.core.local.LocalSystem.halo`, equal to
+        :func:`~repro.core.partition.halo_columns` of the binding), shape
+        ``(|H_l|,)`` or ``(|H_l|, k)`` for batched right-hand sides
+        matching the ``b`` the binding was attached with (see
+        :func:`halo_shapes`).  Returns the solution pieces over each
         block's extended index set, **in request order** -- this ordering
         guarantee is what makes the synchronous drivers bit-identical
         across backends.

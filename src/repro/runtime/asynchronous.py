@@ -8,7 +8,8 @@ free-running worker thread that
 
 1. reads its dependencies' latest published pieces from
    :class:`~repro.runtime.seqlock.VersionedVector` slots -- wait-free,
-   possibly stale, never torn;
+   possibly stale, never torn -- and gathers them into its halo vector
+   ``z^l[H_l]`` (the only entries its coupling block reads);
 2. re-solves its factored band system whenever anything it read has
    changed since its last solve (an unchanged input would reproduce the
    piece bit-for-bit -- a direct solve is deterministic -- so those
@@ -39,6 +40,7 @@ import time
 import numpy as np
 
 from repro.core.partition import GeneralPartition
+from repro.core.distributed import HaloGather
 from repro.core.sequential import SequentialResult
 from repro.core.stopping import StoppingCriterion
 from repro.core.local import build_local_systems
@@ -151,7 +153,7 @@ def async_iterate(
     z0 = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
     if z0.shape != b.shape:
         raise ValueError(f"x0 must have shape {b.shape}")
-    weights = [weighting.update_weights(l) for l in range(L)]
+    gather = HaloGather(A, partition, weighting, b)
 
     slots = [VersionedVector(z0[partition.sets[l]]) for l in range(L)]
     stop_event = threading.Event()
@@ -174,22 +176,22 @@ def async_iterate(
     _MAX_CONSECUTIVE_FAILURES = 3
 
     def worker(l: int) -> None:
-        my_weights = weights[l]
+        deps = gather.pattern.deps[l]
         it = 0
         consecutive_failures = 0
         while True:  # supervisor: one lap per (re)spawned incarnation
-            last_seen = {k: -1 for k in my_weights}
+            last_seen = {k: -1 for k in deps}
             prev_piece: np.ndarray | None = None
             try:
                 while not stop_event.is_set() and it < stopping.max_iterations:
-                    z = np.zeros(b.shape)
                     changed = False
-                    for k, w in my_weights.items():
-                        piece_k, version = slots[k].read()
+                    read: dict[int, np.ndarray] = {}
+                    for k in deps:
+                        read[k], version = slots[k].read()
                         if version != last_seen[k]:
                             changed = True
                             last_seen[k] = version
-                        z[partition.sets[k]] += w * piece_k
+                    z = gather.assemble(l, read)
                     if not changed and prev_piece is not None:
                         # Identical inputs reproduce the piece bit-for-bit;
                         # skip the no-op solve and poll again.

@@ -15,7 +15,8 @@ laptop scale):
   same matrix skips the factorization);
 * every outer iteration exchanges only *vectors*, through two
   :class:`~repro.runtime.shm.SharedVectorPlane` segments: the driver
-  writes block ``l``'s local copy into its ``z`` slot, enqueues a tiny
+  writes block ``l``'s halo vector into its ``z`` slot (sized at attach
+  by :func:`~repro.runtime.api.halo_shapes`), enqueues a tiny
   ``("solve", l)`` ticket, and the worker writes ``XSub_l`` into the
   piece slot before acknowledging.  Queue tickets order the slot
   accesses, so no locks are needed and nothing numeric is ever pickled
@@ -69,7 +70,7 @@ import numpy as np
 
 from repro.direct.cache import CacheStats, FactorizationCache
 from repro.observe import estimate_clock_offset
-from repro.runtime.api import Executor, SolveStream, owned_rows_spec
+from repro.runtime.api import Executor, SolveStream, halo_shapes, owned_rows_spec
 from repro.runtime.resilience import FaultPolicy, FaultStats, reassign_orphans
 from repro.runtime.shm import SharedVectorPlane
 
@@ -541,7 +542,7 @@ class ProcessExecutor(Executor):
             W = max(1, min(L, self.max_workers or os.cpu_count() or 1))
             owner = {l: l % W for l in range(L)}
         self._ensure_workers(W)
-        z_shapes = [b.shape] * L
+        z_shapes = halo_shapes(csr, b, sets_list)
         piece_shapes = [(rows.size,) + tuple(b.shape[1:]) for rows in sets_list]
         self._z_plane = SharedVectorPlane(z_shapes)
         self._piece_plane = SharedVectorPlane(piece_shapes)
@@ -972,7 +973,7 @@ class ProcessExecutor(Executor):
 
         ``remaining``/``pending`` describe the in-flight round: blocks
         whose ticket sat with a dead worker are re-enqueued on their new
-        owner (the z slot still holds the round's local copy, so the
+        owner (the z slot still holds the round's halo vector, so the
         retried solve is bit-identical).
         """
         dead_set = set(dead)

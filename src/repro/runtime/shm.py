@@ -1,7 +1,8 @@
 """Shared-memory vector plane: zero-pickle exchange of iterate pieces.
 
 The process backend must move two families of vectors every outer
-iteration: each block's full-length local copy ``z`` (driver -> worker)
+iteration: each block's halo vector ``z^l[H_l]`` -- the entries of the
+iterate outside ``J_l`` its coupling block reads (driver -> worker) --
 and each block's solution piece ``XSub`` (worker -> driver).  Pickling
 them through queues would copy every float twice and serialise on the
 queue feeder thread; instead both families live in named
@@ -72,11 +73,14 @@ class SharedVectorPlane:
         create: bool = True,
     ):
         self.shapes = [tuple(int(s) for s in shape) for shape in shapes]
+        # Element count and byte offset per slot, fixed for the plane's
+        # life: slot() runs on every write and read of every round.
+        self._counts = [int(np.prod(shape)) for shape in self.shapes]
         self._offsets: list[int] = []
         total = 0
-        for shape in self.shapes:
+        for count in self._counts:
             self._offsets.append(total)
-            total += 8 * int(np.prod(shape))
+            total += 8 * count
         if create:
             self._shm = shared_memory.SharedMemory(
                 name=name, create=True, size=max(total, 8)
@@ -92,20 +96,30 @@ class SharedVectorPlane:
         return self._shm.name
 
     def slot(self, i: int) -> np.ndarray:
-        """Zero-copy view of slot ``i``."""
-        shape = self.shapes[i]
-        count = int(np.prod(shape))
+        """Zero-copy view of slot ``i``.
+
+        A fresh view per call on purpose: a cached one would hold an
+        export of the mapping, and :meth:`close` would then raise
+        ``BufferError``.
+        """
         arr = np.frombuffer(
-            self._shm.buf, dtype=np.float64, count=count, offset=self._offsets[i]
+            self._shm.buf, dtype=np.float64, count=self._counts[i],
+            offset=self._offsets[i],
         )
-        return arr.reshape(shape)
+        return arr.reshape(self.shapes[i])
 
     def write(self, i: int, values: np.ndarray) -> None:
-        """Copy ``values`` into slot ``i`` (shape-checked)."""
-        view = self.slot(i)
-        if values.shape != view.shape:
-            raise ValueError(f"slot {i} holds {view.shape}, got {values.shape}")
-        view[...] = values
+        """Copy ``values`` into slot ``i`` (shape-checked).
+
+        The check runs before any view exists: a view caught in the
+        error's traceback would pin the mapping and make :meth:`close`
+        raise ``BufferError``.
+        """
+        if values.shape != self.shapes[i]:
+            raise ValueError(
+                f"slot {i} holds {self.shapes[i]}, got {values.shape}"
+            )
+        self.slot(i)[...] = values
 
     def read(self, i: int) -> np.ndarray:
         """Materialised copy of slot ``i`` (safe to keep across writes)."""

@@ -20,8 +20,11 @@ spoken over real sockets so worker processes may live anywhere:
   *owned* blocks only -- never the full matrix -- so total attach
   traffic is ~``1/W`` of the ship-everything scheme per worker (the
   ROADMAP's W-fold cut; asserted in the resilience test suite).
-  Afterwards only vectors move: one local copy ``z`` per solve request,
-  one piece per reply (the paper's coarse-grained exchange, verbatim);
+  Afterwards only vectors move: one halo vector ``z^l[H_l]`` per solve
+  request (the entries of the block's local copy its coupling block
+  reads; shapes fixed at attach by
+  :func:`~repro.runtime.api.halo_shapes`), one piece per reply (the
+  paper's coarse-grained exchange, verbatim);
 * **per-worker factor caches**: each worker keeps a process-local
   :class:`~repro.direct.cache.FactorizationCache`, so re-attaching the
   same matrix skips the factorization; ``run_cache_stats`` aggregates
@@ -76,7 +79,7 @@ import numpy as np
 
 from repro.direct.cache import CacheStats, FactorizationCache
 from repro.observe import estimate_clock_offset
-from repro.runtime.api import Executor, SolveStream, owned_rows_spec
+from repro.runtime.api import Executor, SolveStream, halo_shapes, owned_rows_spec
 from repro.runtime.resilience import FaultPolicy, FaultStats, reassign_orphans
 from repro.runtime.wire import BufferPool, recv_frame, send_frame
 
@@ -427,6 +430,8 @@ class SocketExecutor(Executor):
         self._policy: FaultPolicy | None = None
         self._fault = FaultStats()
         self._ctx: dict | None = None
+        #: Per-block halo-vector shape of the binding (set at attach).
+        self._z_shapes: list[tuple[int, ...]] = []
         self._placement = None
         # Fleet membership generation: bumped by attach, grow, shrink,
         # and recovery.  Lifetime-monotone (never reset), so an elastic
@@ -713,6 +718,7 @@ class SocketExecutor(Executor):
             "solvers": solvers,
             "use_cache": self._use_cache,
         }
+        self._z_shapes = halo_shapes(csr, b, sets_list)
         # Each active worker receives only its owned band rows (and the
         # matching b entries) -- attach traffic is ~1/W of the matrix per
         # worker instead of W full copies.
@@ -1178,7 +1184,7 @@ class SocketExecutor(Executor):
                 # loop.
                 info = send_frame(
                     self._socks[w],
-                    ("solve", self._epoch, l, np.asarray(z, float)),
+                    ("solve", self._epoch, l, z),
                     zero_copy=self._zero,
                     transient=True,
                 )
@@ -1200,6 +1206,20 @@ class SocketExecutor(Executor):
             done.append((rl, piece, dt))
         return done, [], None
 
+    def _frame_z(self, l: int, z) -> np.ndarray:
+        """Block ``l``'s halo vector as sent, checked against its halo size.
+
+        Only the leading (halo) dimension is fixed: a frame, unlike a
+        shm slot, may carry a batch of any width.
+        """
+        arr = np.asarray(z, dtype=float)
+        if arr.shape[:1] != self._z_shapes[l][:1]:
+            raise ValueError(
+                f"block {l} takes a halo vector of {self._z_shapes[l][0]} "
+                f"rows, got shape {arr.shape}"
+            )
+        return arr
+
     def solve_blocks(
         self, tasks: Sequence[tuple[int, np.ndarray]]
     ) -> list[np.ndarray]:
@@ -1215,7 +1235,7 @@ class SocketExecutor(Executor):
                 sent0, recv0 = self._vector_bytes_sent, self._vector_bytes_received
                 ser0, tx0 = self._serialize_seconds, self._transmit_seconds
             t_wait = tracer.now()
-        todo = list(tasks)
+        todo = [(l, self._frame_z(l, z)) for l, z in tasks]
         while todo:
             by_worker: dict[int, list[tuple[int, np.ndarray]]] = {}
             for l, z in todo:
@@ -1426,10 +1446,11 @@ class _SocketStream(SolveStream):
         l = int(l)
         ex = self._ex
         w = ex._owner[l]
+        z = ex._frame_z(l, z)
         try:
             info = send_frame(
                 ex._socks[w],
-                ("solve", ex._epoch, l, np.asarray(z, float)),
+                ("solve", ex._epoch, l, z),
                 zero_copy=ex._zero,
                 transient=True,
             )

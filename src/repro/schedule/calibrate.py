@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.partition import halo_columns
 from repro.schedule.plan import Placement, WorkerSlot, cost_model_placement
 
 __all__ = ["measure_worker_speeds", "calibrated_placement"]
@@ -97,12 +98,12 @@ def measure_worker_speeds(
     t_cal = tracer.now() if tracer is not None else 0.0
     executor.attach(A, b, sets, get_solver(solver), placement=plan)
     try:
-        z = np.zeros(A.shape[0])
-        executor.solve_round([z] * nworkers)  # warm-up, not timed
+        Z = [np.zeros(halo.size) for halo in halo_columns(A, sets)]
+        executor.solve_round(Z)  # warm-up, not timed
         samples: list[list[float]] = [[] for _ in range(nworkers)]
         prev = executor.block_seconds()
         for _ in range(repeats):
-            executor.solve_round([z] * nworkers)
+            executor.solve_round(Z)
             cur = executor.block_seconds()
             for w in range(nworkers):
                 samples[w].append(

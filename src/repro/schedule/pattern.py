@@ -63,13 +63,14 @@ def dependency_gates(A, partition, weighting) -> list[list[int]]:
     ``gates[l]`` lists the blocks whose round-``k`` pieces block ``l``'s
     round-``k+1`` solve actually reads: its dependencies per
     :func:`~repro.core.distributed.communication_pattern` (derived from
-    the *stored* matrix pattern, so a piece the weighted combine touches
-    only with zero weight still gates -- the conservative choice that
-    keeps iterates bit-identical to the barrier) plus ``l`` itself (the
-    combine always uses the block's own piece).  Once every gate's piece
-    has arrived, dispatching ``l`` early is safe: the values of the
-    non-gated blocks never reach ``l``'s solve, so the global barrier
-    adds only waiting.
+    the *stored* matrix pattern, so a structurally coupled piece gates
+    even if its current values happen to cancel) -- exactly the sources
+    of the halo gather (:class:`~repro.core.distributed.HaloGather`) --
+    plus ``l`` itself (one solve per block in flight).  Once every
+    gate's piece has arrived, dispatching ``l`` early is safe: no other
+    block's piece enters ``l``'s halo vector, so the global barrier adds
+    only waiting.  The pipelined driver derives the same gates from the
+    pattern its gather maps come from.
     """
     pattern = communication_pattern(partition, weighting, A=A)
     return [

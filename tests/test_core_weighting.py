@@ -133,3 +133,31 @@ class TestValidationErrors:
 
         with pytest.raises(ValueError):
             validate_weighting(Negative(g))
+
+
+class TestSharedProducerVectors:
+    """``E_lk = E_k`` schemes compute each vector once and share it."""
+
+    @staticmethod
+    def _fresh(name, g, k):
+        J = g.sets[k]
+        if name == "ownership":
+            w = np.zeros(J.size)
+            w[np.isin(J, g.core[k])] = 1.0
+            return w
+        return 1.0 / g.multiplicity().astype(float)[J]
+
+    @pytest.mark.parametrize("name", ["ownership", "averaging"])
+    @pytest.mark.parametrize("kind", ["band", "schwarz", "interleaved", "permuted"])
+    def test_equal_to_fresh_and_read_only(self, name, kind):
+        from test_runtime_conformance import _general_problem
+
+        _, _, g, _ = _general_problem(kind)
+        scheme = make_weighting(name, g)
+        for l in range(g.nprocs):
+            for k in range(g.nprocs):
+                w = scheme.weight_vector(l, k)
+                np.testing.assert_array_equal(w, self._fresh(name, g, k))
+                assert w is scheme.weight_vector(0, k)
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0] = 0.5

@@ -483,12 +483,12 @@ class TestKillThenGrowMonotonicity:
     """Counters survive recovery *and* elastic churn without resets."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cache_and_wire_stats_monotone(self, backend):
+    def test_cache_and_wire_stats_monotone(self, backend, halo_round):
         from repro.runtime.resilience import FaultPolicy
 
         A, b, part, scheme = _general_problem("band")
         ex = _make_executor(backend)
-        z = [np.zeros(b.shape)] * part.nprocs
+        z = halo_round(A, part.sets, np.zeros(b.shape))
         try:
             ex.attach(
                 A, b, part.sets, get_solver("scipy"),
@@ -519,13 +519,13 @@ class TestKillThenGrowMonotonicity:
         assert w3["vector_bytes_sent"] >= w1["vector_bytes_sent"] > 0
         assert w3["vector_bytes_received"] >= w1["vector_bytes_received"] > 0
 
-    def test_process_respawn_then_grow_rank_never_reused(self):
+    def test_process_respawn_then_grow_rank_never_reused(self, halo_round):
         """Ranks only ever append: respawns and grows cannot alias slots."""
         from repro.runtime.resilience import FaultPolicy
 
         A, b, part, scheme = _general_problem("band")
         ex = _make_executor("processes", nworkers=2)
-        z = [np.zeros(b.shape)] * part.nprocs
+        z = halo_round(A, part.sets, np.zeros(b.shape))
         try:
             ex.attach(
                 A, b, part.sets, get_solver("scipy"),

@@ -66,32 +66,32 @@ class TestKernelErrorsPropagate:
         return FlakySolver(get_solver("scipy"), fail_solves=(1,))
 
     @pytest.mark.parametrize("policy", [None, _POLICY])
-    def test_socket_kernel_error_surfaces(self, policy):
+    def test_socket_kernel_error_surfaces(self, policy, halo_round):
         A, b, part, _ = _problem()
         ex = SocketExecutor(workers=2)
         try:
             ex.attach(A, b, part.sets, self._flaky(), fault_policy=policy)
-            z = np.zeros(b.shape)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
             with pytest.raises(RuntimeError, match="InjectedFault"):
-                ex.solve_round([z] * part.nprocs)
+                ex.solve_round(Z)
             # The worker is alive and was NOT classified as lost: no
             # recovery ran, and the same binding keeps serving.
             assert ex.fault_stats().workers_lost == 0
             assert len(ex.alive_workers()) == 2
-            pieces = ex.solve_round([z] * part.nprocs)
+            pieces = ex.solve_round(Z)
             assert len(pieces) == part.nprocs
         finally:
             ex.close()
 
     @pytest.mark.parametrize("policy", [None, _POLICY])
-    def test_process_kernel_error_surfaces(self, policy):
+    def test_process_kernel_error_surfaces(self, policy, halo_round):
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
         try:
             ex.attach(A, b, part.sets, self._flaky(), fault_policy=policy)
-            z = np.zeros(b.shape)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
             with pytest.raises(RuntimeError, match="InjectedFault"):
-                ex.solve_round([z] * part.nprocs)
+                ex.solve_round(Z)
             assert ex.fault_stats().workers_lost == 0
             assert len(ex.alive_workers()) == 2
         finally:
@@ -110,31 +110,31 @@ class TestSendPathDeath:
         # produces, pinned down deterministically.
         ex._socks[rank].shutdown(socket.SHUT_RDWR)
 
-    def test_recovers_under_policy(self):
+    def test_recovers_under_policy(self, halo_round):
         A, b, part, _ = _problem()
         ex = SocketExecutor(workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
-            z = np.zeros(b.shape)
-            first = ex.solve_round([z] * part.nprocs)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
+            first = ex.solve_round(Z)
             self._sever(ex, 0)
-            second = ex.solve_round([z] * part.nprocs)
+            second = ex.solve_round(Z)
             for x, y in zip(first, second):
                 np.testing.assert_array_equal(x, y)
             assert ex.fault_stats().workers_lost == 1
         finally:
             ex.close()
 
-    def test_fails_fast_without_policy(self):
+    def test_fails_fast_without_policy(self, halo_round):
         A, b, part, _ = _problem()
         ex = SocketExecutor(workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"))
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * part.nprocs)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(Z)
             self._sever(ex, 0)
             with pytest.raises(RuntimeError, match="died mid-solve"):
-                ex.solve_round([z] * part.nprocs)
+                ex.solve_round(Z)
         finally:
             ex.close()
 
@@ -143,7 +143,7 @@ class TestPolicyDeadlineGovernsReplyWaits:
     """The armed policy's deadline -- not the module-level hardcoded
     ``_REPLY_TIMEOUT`` -- bounds how long the driver waits on replies."""
 
-    def test_generous_policy_not_cut_short(self, monkeypatch):
+    def test_generous_policy_not_cut_short(self, monkeypatch, halo_round):
         # Shrink the protocol backstop below the solve's real duration:
         # the armed policy's *generous* deadline must govern, so the
         # stalled-but-legitimate solve completes instead of timing out.
@@ -161,8 +161,8 @@ class TestPolicyDeadlineGovernsReplyWaits:
                 A, b, part.sets, kernels,
                 fault_policy=FaultPolicy(heartbeat_interval=0.1, deadline=30.0),
             )
-            z = np.zeros(b.shape)
-            pieces = ex.solve_round([z] * part.nprocs)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
+            pieces = ex.solve_round(Z)
             assert len(pieces) == part.nprocs
             # The slow worker was legitimate, not lost: no recovery ran.
             assert ex.fault_stats().workers_lost == 0
@@ -207,7 +207,7 @@ class TestCacheStatsAcrossRecovery:
     same work) would overshoot ``L + orphans``."""
 
     @pytest.mark.parametrize("respawn", [False, True])
-    def test_process_backend(self, respawn):
+    def test_process_backend(self, respawn, halo_round):
         A, b, part, _ = _problem()
         L = part.nprocs
         ex = ProcessExecutor(max_workers=2)
@@ -217,14 +217,14 @@ class TestCacheStatsAcrossRecovery:
                 A, b, part.sets, get_solver("scipy"), cache=cache,
                 fault_policy=FaultPolicy(heartbeat_interval=0.1, respawn=respawn),
             )
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * L)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(Z)
             # Attach factors each block once (a miss), the solve round
             # looks each factorization up again (a hit).
             before = ex.run_cache_stats()
             assert before.misses == L and before.hits == L
             assert ex.kill_worker(0)
-            ex.solve_round([z] * L)  # recovery re-factors the orphans
+            ex.solve_round(Z)  # recovery re-factors the orphans
             after = ex.run_cache_stats()
             # The dead worker's 2 misses stay in the aggregate (its
             # last report is retained so counters never run backwards)
@@ -237,7 +237,7 @@ class TestCacheStatsAcrossRecovery:
             ex.close()
 
     @pytest.mark.parametrize("respawn", [False, True])
-    def test_socket_backend(self, respawn):
+    def test_socket_backend(self, respawn, halo_round):
         A, b, part, _ = _problem()
         L = part.nprocs
         ex = SocketExecutor(workers=2)
@@ -247,12 +247,12 @@ class TestCacheStatsAcrossRecovery:
                 A, b, part.sets, get_solver("scipy"), cache=cache,
                 fault_policy=FaultPolicy(heartbeat_interval=0.1, respawn=respawn),
             )
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * L)
+            Z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(Z)
             before = ex.run_cache_stats()
             assert before.misses == L and before.hits == L
             assert ex.kill_worker(0)
-            ex.solve_round([z] * L)
+            ex.solve_round(Z)
             after = ex.run_cache_stats()
             assert after.misses == L + 2  # retained corpse report + re-factors
             assert after.hits >= before.hits

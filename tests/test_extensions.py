@@ -163,13 +163,13 @@ class TestResidualMetricDistributed:
         r = s.solve(A, b, cluster=cluster1(3))
         assert r.status == "ok" and r.residual <= 1e-6
 
-    def test_local_residual_zero_right_after_solve(self):
+    def test_local_residual_zero_right_after_solve(self, halo_round):
         from repro.core.local import build_local_systems
 
         A, b, _ = problem(n=60)
         part = uniform_bands(60, 2).to_general()
         systems = build_local_systems(A, b, part.sets, get_solver("scipy"))
-        z = np.zeros(60)
+        z = halo_round(A, part.sets, np.zeros(60))[0]
         piece = systems[0].solve_with(z)
         r = systems[0].local_residual(piece, z)
         assert np.max(np.abs(r)) < 1e-10

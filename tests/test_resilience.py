@@ -106,16 +106,16 @@ class TestPolicyAndStats:
 class TestProcessRecovery:
     """Direct kills against ProcessExecutor, no chaos wrapper involved."""
 
-    def test_requeue_after_direct_kill(self):
+    def test_requeue_after_direct_kill(self, halo_round):
         A, b, part, scheme = _problem()
         ref = _reference(A, b, part, scheme)
         ex = ProcessExecutor(max_workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
-            z = np.zeros(b.shape)
-            first = ex.solve_round([z] * part.nprocs)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
+            first = ex.solve_round(z)
             assert ex.kill_worker(0)
-            second = ex.solve_round([z] * part.nprocs)  # recovers mid-call
+            second = ex.solve_round(z)  # recovers mid-call
             for x, y in zip(first, second):
                 np.testing.assert_array_equal(x, y)
             fault = ex.fault_stats()
@@ -137,18 +137,18 @@ class TestProcessRecovery:
         finally:
             ex2.close()
 
-    def test_dead_worker_without_policy_still_raises(self):
+    def test_dead_worker_without_policy_still_raises(self, halo_round):
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"))
             ex.kill_worker(0)
             with pytest.raises(RuntimeError, match="died"):
-                ex.solve_round([np.zeros(b.shape)] * part.nprocs)
+                ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))
         finally:
             ex.close()
 
-    def test_reattach_revives_dead_ranks(self):
+    def test_reattach_revives_dead_ranks(self, halo_round):
         """A fresh attach replaces corpses left by an earlier binding."""
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
@@ -157,12 +157,12 @@ class TestProcessRecovery:
             ex.kill_worker(1)
             ex.detach()
             ex.attach(A, b, part.sets, get_solver("scipy"))
-            pieces = ex.solve_round([np.zeros(b.shape)] * part.nprocs)
+            pieces = ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))
             assert len(pieces) == part.nprocs
         finally:
             ex.close()
 
-    def test_max_worker_losses_budget(self):
+    def test_max_worker_losses_budget(self, halo_round):
         A, b, part, _ = _problem()
         ex = ProcessExecutor(max_workers=2)
         try:
@@ -174,7 +174,7 @@ class TestProcessRecovery:
             )
             ex.kill_worker(0)
             with pytest.raises(RuntimeError, match="fault policy exhausted"):
-                ex.solve_round([np.zeros(b.shape)] * part.nprocs)
+                ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))
         finally:
             ex.close()
 
@@ -218,7 +218,7 @@ class TestPerBlockDeadline:
     outstanding block to its worker's last proof of life (dispatch or
     that worker's latest reply), checked every iteration."""
 
-    def test_chatty_worker_cannot_mask_hung_peer(self, tmp_path):
+    def test_chatty_worker_cannot_mask_hung_peer(self, tmp_path, halo_round):
         import threading
 
         n, L = 84, 21
@@ -252,11 +252,11 @@ class TestPerBlockDeadline:
                 placement=plan,
                 fault_policy=FaultPolicy(heartbeat_interval=0.2, deadline=0.6),
             )
-            z = np.zeros(b.shape)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
             result: dict = {}
 
             def _round():
-                result["pieces"] = ex.solve_round([z] * L)
+                result["pieces"] = ex.solve_round(z)
 
             t = threading.Thread(target=_round, daemon=True)
             t0 = time.monotonic()
@@ -283,7 +283,7 @@ class TestPerBlockDeadline:
             # And the recovered round is still bit-identical.
             inline = InlineExecutor()
             inline.attach(A, b, part.sets, get_solver("scipy"))
-            ref = inline.solve_round([z] * L)
+            ref = inline.solve_round(z)
             for x, y in zip(result["pieces"], ref):
                 np.testing.assert_array_equal(x, y)
         finally:
@@ -291,15 +291,15 @@ class TestPerBlockDeadline:
 
 
 class TestSocketRecovery:
-    def test_requeue_after_direct_kill(self):
+    def test_requeue_after_direct_kill(self, halo_round):
         A, b, part, scheme = _problem()
         ex = SocketExecutor(workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
-            z = np.zeros(b.shape)
-            first = ex.solve_round([z] * part.nprocs)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
+            first = ex.solve_round(z)
             assert ex.kill_worker(1)
-            second = ex.solve_round([z] * part.nprocs)
+            second = ex.solve_round(z)
             for x, y in zip(first, second):
                 np.testing.assert_array_equal(x, y)
             fault = ex.fault_stats()
@@ -309,18 +309,18 @@ class TestSocketRecovery:
         finally:
             ex.close()
 
-    def test_dead_worker_without_policy_still_raises(self):
+    def test_dead_worker_without_policy_still_raises(self, halo_round):
         A, b, part, _ = _problem()
         ex = SocketExecutor(workers=2)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"))
             ex.kill_worker(0)
             with pytest.raises(RuntimeError, match="died"):
-                ex.solve_round([np.zeros(b.shape)] * part.nprocs)
+                ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))
         finally:
             ex.close()
 
-    def test_group_aware_requeue_with_placement(self):
+    def test_group_aware_requeue_with_placement(self, halo_round):
         """Orphans re-derive their home from the plan: a same-site
         survivor is preferred over a less-loaded remote one."""
         A, b, part, scheme = _problem()
@@ -341,10 +341,10 @@ class TestSocketRecovery:
                 A, b, part.sets, get_solver("scipy"),
                 placement=plan, fault_policy=_POLICY,
             )
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * part.nprocs)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(z)
             assert ex.kill_worker(0)  # siteA worker with block 0
-            ex.solve_round([z] * part.nprocs)
+            ex.solve_round(z)
             # Block 0 must land on the other siteA worker (rank 1, two
             # blocks already) rather than on siteB's *less loaded* rank
             # 2 -- co-location beats load in the re-derived assignment.
@@ -424,7 +424,7 @@ class TestBandRowShipping:
         finally:
             ex.close()
 
-    def test_band_built_system_matches_full_build(self):
+    def test_band_built_system_matches_full_build(self, halo_round):
         from repro.core.local import build_local_system
 
         A, b, part, _ = _problem()
@@ -435,7 +435,8 @@ class TestBandRowShipping:
             None, None, rows, 1, get_solver("scipy"),
             band=csr[rows, :], b_sub=b[rows],
         )
-        z = np.linspace(0.0, 1.0, csr.shape[0])
+        z = halo_round(A, part.sets, np.linspace(0.0, 1.0, csr.shape[0]))[1]
+        np.testing.assert_array_equal(ref.halo, alt.halo)
         np.testing.assert_array_equal(ref.solve_with(z), alt.solve_with(z))
         np.testing.assert_array_equal(ref.b_sub, alt.b_sub)
         assert (ref.dep != alt.dep).nnz == 0
@@ -685,15 +686,15 @@ class TestCalibrationOutlierGuard:
 class TestChaosWrapperContract:
     """ChaosExecutor honours the full Executor contract."""
 
-    def test_lifecycle_and_passthrough(self):
+    def test_lifecycle_and_passthrough(self, halo_round):
         A, b, part, _ = _problem()
         inner = InlineExecutor()
         chaos = ChaosExecutor(inner, FaultInjector(seed=0))
         chaos.attach(A, b, part.sets, get_solver("scipy"))
         assert chaos.nblocks == part.nprocs
-        z = np.ones(b.shape)
-        full = chaos.solve_round([z] * part.nprocs)
-        some = chaos.solve_blocks([(2, z)])
+        z = halo_round(A, part.sets, np.ones(b.shape))
+        full = chaos.solve_round(z)
+        some = chaos.solve_blocks([(2, z[2])])
         np.testing.assert_array_equal(some[0], full[2])
         assert set(chaos.block_seconds()) == set(range(part.nprocs))
         chaos.detach()

@@ -121,14 +121,14 @@ def executor(backend):
 
 
 class TestLifecycleConformance:
-    def test_attach_solve_detach(self, executor):
+    def test_attach_solve_detach(self, executor, halo_round):
         A, b, part, _ = _problem()
         executor.attach(A, b, part.sets, get_solver("scipy"))
         assert executor.nblocks == part.nprocs
-        z = np.ones(b.shape)
-        full = executor.solve_round([z] * part.nprocs)
+        z = halo_round(A, part.sets, np.ones(b.shape))
+        full = executor.solve_round(z)
         assert len(full) == part.nprocs
-        some = executor.solve_blocks([(3, z), (1, z)])
+        some = executor.solve_blocks([(3, z[3]), (1, z[1])])
         np.testing.assert_array_equal(some[0], full[3])
         np.testing.assert_array_equal(some[1], full[1])
         executor.detach()
@@ -141,12 +141,12 @@ class TestLifecycleConformance:
         executor.detach()
         assert executor.nblocks == 0
 
-    def test_solve_after_detach_raises(self, executor):
+    def test_solve_after_detach_raises(self, executor, halo_round):
         A, b, part, _ = _problem()
         executor.attach(A, b, part.sets, get_solver("scipy"))
         executor.detach()
         with pytest.raises(RuntimeError):
-            executor.solve_blocks([(0, np.zeros(b.shape))])
+            executor.solve_blocks([(0, halo_round(A, part.sets, np.zeros(b.shape))[0])])
 
     def test_close_idempotent_and_reusable(self, backend):
         """close() twice is a no-op; attach after close rebuilds workers."""
@@ -404,7 +404,7 @@ class TestCrashSafety:
         ex.close()
         assert ex.nblocks == 0
 
-    def test_external_workers_survive_close(self):
+    def test_external_workers_survive_close(self, halo_round):
         """close() must only exit OWNED workers: an external fleet
         (addresses=) is disconnected, not killed, and serves the next
         driver."""
@@ -422,7 +422,7 @@ class TestCrashSafety:
             for _ in range(2):  # two successive drivers against one fleet
                 ex = SocketExecutor(addresses=[("127.0.0.1", port)])
                 ex.attach(A, b, part.sets, get_solver("scipy"))
-                pieces = ex.solve_round([np.zeros(b.shape)] * part.nprocs)
+                pieces = ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))
                 assert len(pieces) == part.nprocs
                 ex.close()
                 assert proc.is_alive()
@@ -430,7 +430,7 @@ class TestCrashSafety:
             proc.kill()
             proc.join(timeout=10.0)
 
-    def test_socket_worker_error_keeps_executor_usable(self):
+    def test_socket_worker_error_keeps_executor_usable(self, halo_round):
         """A failing kernel surfaces as RuntimeError; the workers survive."""
         A, b, part, _ = _problem()
         bad = A.tolil()
@@ -441,7 +441,7 @@ class TestCrashSafety:
                 ex.attach(bad.tocsr(), b, part.sets, get_solver("scipy"))
             A2, b2, part2, _ = _problem(seed=9)
             ex.attach(A2, b2, part2.sets, get_solver("scipy"))
-            pieces = ex.solve_round([np.zeros(b2.shape)] * part2.nprocs)
+            pieces = ex.solve_round(halo_round(A2, part2.sets, np.zeros(b2.shape)))
             assert len(pieces) == part2.nprocs
         finally:
             ex.close()
@@ -602,17 +602,17 @@ class TestInvariantConformance:
     """
 
     @pytest.mark.parametrize("name", ["processes", "sockets"])
-    def test_recovery_leaves_no_orphans_single_owners(self, name):
+    def test_recovery_leaves_no_orphans_single_owners(self, name, halo_round):
         from repro.check.invariants import no_orphans, single_owner
 
         A, b, part, _ = _problem()
         ex = _make_executor(name)
         try:
             ex.attach(A, b, part.sets, get_solver("scipy"), fault_policy=_POLICY)
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * part.nprocs)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(z)
             assert ex.kill_worker(0)
-            ex.solve_round([z] * part.nprocs)  # recovers mid-call
+            ex.solve_round(z)  # recovers mid-call
             alive = ex.alive_workers()
             # Post-recovery quiescence: every block is owned, owned
             # once, and owned by a live worker -- exactly what the
@@ -625,7 +625,7 @@ class TestInvariantConformance:
             ex.close()
 
     @pytest.mark.parametrize("name", ["processes", "sockets"])
-    def test_respawn_recovery_also_satisfies_the_spec(self, name):
+    def test_respawn_recovery_also_satisfies_the_spec(self, name, halo_round):
         from repro.check.invariants import no_orphans
 
         A, b, part, _ = _problem()
@@ -635,10 +635,10 @@ class TestInvariantConformance:
                 A, b, part.sets, get_solver("scipy"),
                 fault_policy=FaultPolicy(heartbeat_interval=0.1, respawn=True),
             )
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * part.nprocs)
+            z = halo_round(A, part.sets, np.zeros(b.shape))
+            ex.solve_round(z)
             assert ex.kill_worker(1)
-            ex.solve_round([z] * part.nprocs)
+            ex.solve_round(z)
             assert no_orphans(ex._owner, ex.alive_workers()) is None
         finally:
             ex.close()

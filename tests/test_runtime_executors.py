@@ -82,15 +82,15 @@ class TestRegistry:
 
 class TestExecutorContract:
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_solve_blocks_subset_and_order(self, executors, name):
+    def test_solve_blocks_subset_and_order(self, executors, name, halo_round):
         """Any subset, any order; results follow the request order."""
         A, b, part, scheme = _problem()
         ex = executors[name]
         ex.attach(A, b, part.sets, get_solver("scipy"))
         try:
-            z = np.ones(b.shape)
-            full = ex.solve_round([z] * part.nprocs)
-            reordered = ex.solve_blocks([(2, z), (0, z)])
+            z = halo_round(A, part.sets, np.ones(b.shape))
+            full = ex.solve_round(z)
+            reordered = ex.solve_blocks([(2, z[2]), (0, z[0])])
             np.testing.assert_array_equal(reordered[0], full[2])
             np.testing.assert_array_equal(reordered[1], full[0])
             assert ex.nblocks == part.nprocs
@@ -127,12 +127,12 @@ class TestExecutorContract:
             assert all(v >= 0.0 for v in r.block_seconds.values())
             assert sum(r.block_seconds.values()) > 0.0
 
-    def test_process_duplicate_block_rejected(self, executors):
+    def test_process_duplicate_block_rejected(self, executors, halo_round):
         A, b, part, scheme = _problem()
         ex = executors["processes"]
         ex.attach(A, b, part.sets, get_solver("scipy"))
         try:
-            z = np.zeros(b.shape)
+            z = halo_round(A, part.sets, np.zeros(b.shape))[0]
             with pytest.raises(ValueError, match="duplicate block"):
                 ex.solve_blocks([(0, z), (0, z)])
         finally:

@@ -366,7 +366,7 @@ class TestSocketExecutorProtocols:
         with pytest.raises(ValueError, match="wire_protocol"):
             SocketExecutor(workers=1, wire_protocol="carrier-pigeon")
 
-    def test_spec_bytes_shared_across_respawn(self):
+    def test_spec_bytes_shared_across_respawn(self, halo_round):
         """Recovery re-sends a worker's solve spec from the pickle cache."""
         from repro.direct import get_solver
         from repro.runtime import FaultPolicy, SocketExecutor
@@ -382,8 +382,7 @@ class TestSocketExecutorProtocols:
             victim = ex._procs[0]
             victim.kill()
             victim.join(timeout=10.0)
-            z = np.zeros(b.shape)
-            ex.solve_round([z] * part.nprocs)  # triggers detect + respawn
+            ex.solve_round(halo_round(A, part.sets, np.zeros(b.shape)))  # triggers detect + respawn
             assert ex.wire_stats()["spec_pickles_reused"] >= 1
         finally:
             ex.close()
